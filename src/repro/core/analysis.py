@@ -97,11 +97,11 @@ class ThreadAnalysis:
     _conflict_slot_index: Dict[
         Reg, Dict[int, Tuple[Tuple[int, "Reg"], ...]]
     ] = field(default_factory=dict, repr=False, compare=False)
-    #: Lazy per-pair regrouping of ``conflicts_at`` (see
-    #: :meth:`conflict_pairs`); never compared or printed.
-    _conflict_pair_index: Dict[
-        Tuple["Reg", "Reg"], Tuple[int, ...]
-    ] = field(default=None, repr=False, compare=False)  # type: ignore[assignment]
+    #: Lazy per-slot index of ``flow_edges`` (see
+    #: :meth:`flow_edges_by_slot`); never compared or printed.
+    _flow_slot_index: Dict[
+        Reg, Dict[int, Tuple[Tuple[int, int], ...]]
+    ] = field(default_factory=dict, repr=False, compare=False)
     #: Bitmask companion built by the dense kernels
     #: (:class:`repro.core.dense.DenseAnalysisIndex`); ``None`` for
     #: reference-built analyses.  Never compared or printed -- the
@@ -133,36 +133,26 @@ class ThreadAnalysis:
             self._conflict_slot_index[reg] = index
         return index
 
-    def conflict_pairs(self) -> Dict[Tuple["Reg", "Reg"], Tuple[int, ...]]:
-        """Each unordered conflicting range pair once, with its slots.
+    def flow_edges_by_slot(
+        self, reg: Reg
+    ) -> Dict[int, Tuple[Tuple[int, int], ...]]:
+        """``flow_edges[reg]`` indexed by endpoint, built on first use.
 
-        ``conflicts_at`` records every conflict in both directions; this
-        deduplicates to ``(a, b)`` with ``str(a) < str(b)`` and collects
-        the ascending slot list where the pair truly conflicts.  Built on
-        first use and cached -- context validation sweeps it after every
-        committed reduction step, and for unsplit ranges one color
-        comparison per *pair* replaces one per (slot, pair) entry.
+        Each edge ``(i, j)`` is listed under ``i`` and under ``j`` (once
+        when ``i == j``), so the edges incident to a piece are the union
+        of its slots' entries: a probe of one piece visits only those,
+        not every edge of its range.
         """
-        index = self._conflict_pair_index
+        index = self._flow_slot_index.get(reg)
         if index is None:
-            dense = getattr(self, "dense", None)
-            if dense is not None:
-                # Re-derived from the liveness masks in index space, so
-                # no per-pair str() or register hashing.
-                regs = dense.dmap.regs
-                index = {
-                    (regs[ai], regs[bi]): tuple(slots)
-                    for (ai, bi), slots in dense.conflict_pair_slots().items()
-                }
-            else:
-                grouped: Dict[Tuple["Reg", "Reg"], List[int]] = {}
-                for a, pairs in self.conflicts_at.items():
-                    sa = str(a)
-                    for s, b in pairs:
-                        if sa < str(b):
-                            grouped.setdefault((a, b), []).append(s)
-                index = {k: tuple(v) for k, v in grouped.items()}
-            self._conflict_pair_index = index
+            index = {}
+            for edge in self.flow_edges.get(reg, ()):
+                i, j = edge
+                index.setdefault(i, []).append(edge)
+                if j != i:
+                    index.setdefault(j, []).append(edge)
+            index = {s: tuple(edges) for s, edges in index.items()}
+            self._flow_slot_index[reg] = index
         return index
 
     def interferes_at(self, a: Reg, b: Reg, slot: int) -> bool:

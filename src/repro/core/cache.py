@@ -45,7 +45,7 @@ import pickle
 import tempfile
 from collections import OrderedDict
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.core.analysis import ThreadAnalysis, analyze_thread
@@ -58,6 +58,9 @@ from repro.resilience import faults, guard
 
 #: Environment variable naming the on-disk cache directory.
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"
+
+#: Every field a usable on-disk ``ThreadAnalysis`` must carry.
+_ANALYSIS_FIELDS = frozenset(f.name for f in fields(ThreadAnalysis))
 
 #: Default in-process LRU capacity (entries, i.e. distinct programs).
 DEFAULT_CAPACITY = 128
@@ -397,6 +400,13 @@ class AnalysisCache:
                 analysis, bounds = pickle.load(fh)
             if not isinstance(analysis, ThreadAnalysis):
                 raise TypeError(f"unexpected payload in {path}")
+            missing = _ANALYSIS_FIELDS - vars(analysis).keys()
+            if missing:
+                # Pickled by a build that lacked these fields: it would
+                # load, then fail at first use.
+                raise TypeError(
+                    f"stale payload in {path}: no {sorted(missing)}"
+                )
         except FileNotFoundError:
             return None
         except Exception as exc:

@@ -23,9 +23,9 @@ of variables per step).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Set, Tuple
 
-from repro.core.analysis import ThreadAnalysis
+from repro.core.analysis import ThreadAnalysis, true_conflict
 from repro.core.dense import mask_of_slots
 from repro.errors import AllocationError
 from repro.ir.operands import Reg
@@ -315,11 +315,32 @@ class AllocContext:
         dense = getattr(self.analysis, "dense", None)
         if dense is None:
             return bool(self.conflicts_with_color(piece, color))
+        return any(
+            other.color == color
+            for other in self._dense_conflicts(piece, dense)
+        )
+
+    def colors_in_conflict(self, piece: Piece) -> Set[int]:
+        """All colors used by pieces truly conflicting with ``piece``.
+
+        The key set of :meth:`conflict_profile`, for membership-only
+        probes: the dense path collects colors straight from the conflict
+        masks and builds no ordered entry lists.
+        """
+        dense = getattr(self.analysis, "dense", None)
+        if dense is None:
+            return set(self.conflict_profile(piece))
+        return {other.color for other in self._dense_conflicts(piece, dense)}
+
+    def _dense_conflicts(self, piece: Piece, dense: object) -> Iterator[Piece]:
+        """Pieces truly conflicting with ``piece``, read from the
+        precomputed per-range conflict masks.  A piece of a split range is
+        yielded once per conflicting slot it holds."""
         an = self.analysis
         reg = piece.reg
         pairs = an.conflicts_at.get(reg, ())
         if not pairs:
-            return False
+            return
         masks = dense.conflict_masks(reg, pairs)  # type: ignore[attr-defined]
         whole = len(piece.slots) == len(an.slots[reg])
         pmask = None if whole else mask_of_slots(piece.slots)
@@ -334,19 +355,12 @@ class AllocContext:
             om = assign[other_reg]
             if counts.get(other_reg, 0) <= 1:
                 low = m & -m
-                if pieces[om[low.bit_length() - 1]].color == color:
-                    return True
+                yield pieces[om[low.bit_length() - 1]]
             else:
                 while m:
                     low = m & -m
                     m ^= low
-                    if pieces[om[low.bit_length() - 1]].color == color:
-                        return True
-        return False
-
-    def colors_in_conflict(self, piece: Piece) -> Set[int]:
-        """All colors used by pieces truly conflicting with ``piece``."""
-        return set(self.conflict_profile(piece))
+                    yield pieces[om[low.bit_length() - 1]]
 
     def color_users(self, color: int) -> List[Piece]:
         """All pieces currently holding ``color``."""
@@ -369,6 +383,29 @@ class AllocContext:
                 if pieces[m[i]].color != pieces[m[j]].color:
                     cost += 1
         return cost
+
+    def flow_neighbor_colors(self, piece: Piece) -> Dict[int, int]:
+        """Colors of the other pieces of ``piece``'s range across its flow
+        edges, each with its edge count: the crossings that recoloring
+        ``piece`` to that color would remove.
+
+        Visits only the edges incident to the piece's own slots
+        (:meth:`ThreadAnalysis.flow_edges_by_slot`).  An edge with both
+        ends in the piece counts for nothing, so seeing it once from each
+        end changes no count.
+        """
+        m = self._assign[piece.reg]
+        pieces = self.pieces
+        pid = piece.pid
+        index = self.analysis.flow_edges_by_slot(piece.reg)
+        gains: Dict[int, int] = {}
+        for s in piece.slots:
+            for i, j in index.get(s, ()):
+                other = m[j if i == s else i]
+                if other != pid:
+                    color = pieces[other].color
+                    gains[color] = gains.get(color, 0) + 1
+        return gains
 
     def crossing_edges(self) -> List[Tuple[Reg, int, int]]:
         """The flow edges that need a materialized move: ``(reg, i, j)``."""
@@ -426,30 +463,32 @@ class AllocContext:
                     f"boundary piece {piece.pid} ({piece.reg}) uses shared "
                     f"color {piece.color} (pr={self.pr})"
                 )
-        # Walk the precomputed true-conflict pairs instead of re-deriving
-        # them from occupants x occupants interferes_at() probes -- the
-        # same checks at a fraction of the cost.  When neither range of a
-        # pair is split, every conflicting slot compares the same two
-        # pieces, so a single comparison covers them all; only pairs with
-        # a split side need the per-slot sweep.
+        # Only co-occupants of one slot can conflict, and only those
+        # sharing a color can clash: group each slot's occupants by piece
+        # color and test true_conflict within a group.  O(occupancy), and
+        # the same check for dense and reference analyses.
         pieces = self.pieces
         assign = self._assign
-        counts = self._piece_count
-        for (a, b), cslots in an.conflict_pairs().items():
-            ma = assign.get(a)
-            mb = assign.get(b)
-            if ma is None or mb is None:
-                continue  # no slots: vacuously checked by the first loop
-            if counts.get(a, 0) == 1 and counts.get(b, 0) == 1:
-                cslots = cslots[:1]
-            for s in cslots:
-                pa = pieces[ma[s]]
-                pb = pieces[mb[s]]
-                if pa.color == pb.color:
-                    raise AllocationError(
-                        f"{a} and {b} conflict at slot {s} but share "
-                        f"color {pa.color}"
-                    )
+        empty: FrozenSet[Reg] = frozenset()
+        for s, occ in an.occupants.items():
+            if len(occ) < 2:
+                continue
+            groups: Dict[int, List[Reg]] = {}
+            for reg in occ:
+                color = pieces[assign[reg][s]].color
+                group = groups.setdefault(color, [])
+                for other in group:
+                    if true_conflict(
+                        other,
+                        reg,
+                        an.defs_at.get(s, empty),
+                        an.dying_at.get(s, empty),
+                    ):
+                        raise AllocationError(
+                            f"{other} and {reg} conflict at slot {s} but "
+                            f"share color {color}"
+                        )
+                group.append(reg)
 
 
 def initial_context(

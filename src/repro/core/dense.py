@@ -427,16 +427,12 @@ class DenseAnalysisIndex:
     the allocation context's conflict probes answer from.
     """
 
-    __slots__ = ("dmap", "_slot_masks", "_conflict_masks", "_dl", "_pairs")
+    __slots__ = ("dmap", "_slot_masks", "_conflict_masks")
 
-    def __init__(
-        self, dmap: DenseMap, slot_masks: List[int], dl: "DenseLiveness"
-    ) -> None:
+    def __init__(self, dmap: DenseMap, slot_masks: List[int]) -> None:
         self.dmap = dmap
         self._slot_masks = slot_masks
         self._conflict_masks: Dict[Reg, Dict[Reg, int]] = {}
-        self._dl = dl
-        self._pairs: Optional[Dict[Tuple[int, int], List[int]]] = None
 
     def slot_mask(self, reg: Reg) -> int:
         i = self.dmap.index.get(reg)
@@ -459,49 +455,6 @@ class DenseAnalysisIndex:
                 cm[b] = bit if prev is None else prev | bit
             self._conflict_masks[reg] = cm
         return cm
-
-    def conflict_pair_slots(self) -> Dict[Tuple[int, int], List[int]]:
-        """Each unordered conflicting pair once, by dense rank, with its
-        ascending conflict-slot list.
-
-        The int-space source of ``ThreadAnalysis.conflict_pairs``: the
-        per-slot conflict relation re-derived from the liveness masks
-        entirely in index space, so no register object is hashed per
-        pair.  Lazy -- analyses that never validate a context never pay.
-        """
-        if self._pairs is None:
-            dl = self._dl
-            grouped: Dict[Tuple[int, int], List[int]] = {}
-            for s, om in enumerate(dl.occ):
-                if not (om & (om - 1)):
-                    continue
-                dm = dl.defs[s] & om
-                dym = dl.dying[s] & om
-                dnd = dym & ~dm
-                idxs = list(bit_indices(om))
-                plain = not (dm and dym)
-                for ai in idxs:
-                    abit = 1 << ai
-                    if plain:
-                        conf = om
-                    elif dm & abit:
-                        conf = om & ~dnd
-                    elif dym & abit:
-                        conf = om & ~dm
-                    else:
-                        conf = om
-                    conf &= ~((abit << 1) - 1)  # each pair once: b > a
-                    while conf:
-                        low = conf & -conf
-                        conf ^= low
-                        key = (ai, low.bit_length() - 1)
-                        g = grouped.get(key)
-                        if g is None:
-                            grouped[key] = [s]
-                        else:
-                            g.append(s)
-            self._pairs = grouped
-        return self._pairs
 
 
 def finish_analysis_dense(
@@ -618,5 +571,5 @@ def finish_analysis_dense(
         defs_at=defs_at,
         dying_at=dying_at,
         conflicts_at=conflicts_at,
-        dense=DenseAnalysisIndex(dmap, slot_masks, dl),
+        dense=DenseAnalysisIndex(dmap, slot_masks),
     )

@@ -369,13 +369,13 @@ class IntraAllocator:
         """Try to free ``col`` for ``piece`` by recoloring its blockers."""
         moved: List[Tuple[Piece, int]] = []
         for blocker in blockers:
-            b_profile = ctx.conflict_profile(blocker)
+            b_conflicts = ctx.colors_in_conflict(blocker)
             choice = next(
                 (
                     bc
                     for bc in self._palette(ctx, blocker)
                     if bc not in (banned, blocker.color, col)
-                    and bc not in b_profile
+                    and bc not in b_conflicts
                 ),
                 None,
             )
@@ -564,28 +564,20 @@ class IntraAllocator:
     def _try_absorb(self, ctx: AllocContext, piece: Piece) -> bool:
         """Recolor ``piece`` to a flow-neighbor color when that removes
         more crossings than it creates; returns True on improvement."""
-        an = self.analysis
-        gains: Dict[int, int] = {}
-        for i, j in an.flow_edges.get(piece.reg, ()):
-            pa = ctx.piece_of(piece.reg, i)
-            pb = ctx.piece_of(piece.reg, j)
-            if pa.pid == piece.pid and pb.pid != piece.pid:
-                gains[pb.color] = gains.get(pb.color, 0) + 1
-            elif pb.pid == piece.pid and pa.pid != piece.pid:
-                gains[pa.color] = gains.get(pa.color, 0) + 1
+        gains = ctx.flow_neighbor_colors(piece)
         if not gains:
             return False
         current_gain = gains.get(piece.color, 0)
         palette = self._palette(ctx, piece)
-        profile = None
+        conflicts = None
         for col, gain in sorted(gains.items()):
             if gain <= current_gain or col == piece.color:
                 continue
             if col not in palette:
                 continue
-            if profile is None:
-                profile = ctx.conflict_profile(piece)
-            if col in profile:
+            if conflicts is None:
+                conflicts = ctx.colors_in_conflict(piece)
+            if col in conflicts:
                 continue
             piece.color = col
             return True

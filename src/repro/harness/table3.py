@@ -79,7 +79,7 @@ def run_scenario(
     label: str,
     names: Sequence[str],
     nreg: int = 128,
-    packets: int = 16,
+    packets: int = 40,
     verify: bool = True,
 ) -> Table3Scenario:
     """Run one ARA scenario end to end (allocate, simulate, compare)."""
@@ -159,7 +159,7 @@ def _table3_scenario(
 def run_table3(
     scenarios: Optional[Dict[str, Tuple[str, ...]]] = None,
     nreg: int = 128,
-    packets: int = 16,
+    packets: int = 40,
     verify: bool = True,
     jobs: int = 1,
 ) -> List[Table3Scenario]:

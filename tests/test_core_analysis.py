@@ -1,8 +1,11 @@
 """Unit tests for the per-thread analysis bundle."""
 
+import pytest
+
 from repro.core.analysis import analyze_thread
 from repro.ir.operands import VirtualReg
 from repro.ir.parser import parse_program
+from repro.suite.registry import BENCHMARKS, load
 
 
 def v(name):
@@ -92,17 +95,37 @@ def test_conflicts_by_slot_matches_linear_scan(straight):
         assert sorted(got) == sorted(want)
 
 
-def test_conflict_pairs_cover_conflicts_at(straight):
-    an = analyze_thread(straight)
-    pairs = an.conflict_pairs()
-    # Each unordered pair appears exactly once, ordered by str().
-    for (a, b), slots in pairs.items():
-        assert str(a) < str(b)
-        assert list(slots) == sorted(slots)
-        for s in slots:
-            assert (s, b) in an.conflicts_at[a]
-            assert (s, a) in an.conflicts_at[b]
-    # And every conflicts_at entry is covered.
-    total = sum(len(v) for v in an.conflicts_at.values())
-    assert 2 * sum(len(v) for v in pairs.values()) == total
-    assert an.conflict_pairs() is pairs  # cached
+SELF_LOOP = """
+    movi %a, 3
+spin:
+    bnei %a, 0, spin
+    store %a, [%a]
+    halt
+"""
+
+
+@pytest.mark.parametrize(
+    "name", ["straight", "self_loop", *sorted(BENCHMARKS)]
+)
+def test_flow_edges_by_slot_indexes_both_endpoints(straight, name):
+    if name == "straight":
+        program = straight
+    elif name == "self_loop":
+        program = parse_program(SELF_LOOP, name)
+    else:
+        program = load(name)
+    an = analyze_thread(program)
+    if name == "self_loop":
+        assert (1, 1) in an.flow_edges[v("a")]
+    for reg, edges in an.flow_edges.items():
+        index = an.flow_edges_by_slot(reg)
+        # Every edge sits under each endpoint, once for a self-loop...
+        want = {}
+        for i, j in edges:
+            for s in {i, j}:
+                want.setdefault(s, []).append((i, j))
+        assert {s: sorted(es) for s, es in index.items()} == want
+        # ...and nothing else is indexed.
+        total = sum(len(es) for es in index.values())
+        assert total == sum(1 if i == j else 2 for i, j in edges)
+        assert an.flow_edges_by_slot(reg) is index  # cached

@@ -112,6 +112,23 @@ def test_disk_foreign_payload_is_a_miss(tmp_path):
     assert cache.stats.disk_errors == 1
 
 
+def test_disk_stale_analysis_is_a_miss(tmp_path):
+    # An entry pickled by a build whose ThreadAnalysis lacked a field
+    # unpickles fine but would fail at first use: it must be a miss.
+    cache = AnalysisCache(cache_dir=tmp_path)
+    p = prog()
+    an = analyze_thread(p)
+    del an.__dict__["_flow_slot_index"]
+    (tmp_path / f"{p.fingerprint()}.pkl").write_bytes(
+        pickle.dumps((an, None))
+    )
+    got = cache.analyze(p)
+    assert cache.stats.disk_errors == 1
+    assert cache.stats.misses == 1
+    for reg in got.flow_edges:
+        got.flow_edges_by_slot(reg)
+
+
 def _disk_hammer(arg):
     """Module-level worker: concurrent reader+writer of one cache dir."""
     tmp, rounds = arg
