@@ -219,60 +219,23 @@ def _apply_replacements(
     return Program(name=program.name, instrs=new_instrs, labels=dict(program.labels))
 
 
-def _reaching_defs_dense(
-    n: int,
-    succs: List[Tuple[int, ...]],
-    preds: List[List[int]],
-    is_def: List[bool],
-) -> List[int]:
-    """Bitmask reaching-definitions fixpoint for one variable.
+def _web_partitions_dense(
+    program: Program,
+) -> Dict[Reg, Tuple[_UnionFind, Dict[int, int], List[int], List[int]]]:
+    """Every variable's web partition from one reaching-defs fixpoint.
 
-    Bit ``i`` of a mask is "the def at instruction ``i`` reaches here";
-    bit ``n`` is the :data:`ENTRY` pseudo-def.  Same worklist shape and
-    the same unique least fixpoint as :func:`_reaching_defs`.
+    Each used variable owns a contiguous block of bits: its :data:`ENTRY`
+    pseudo-def, then one bit per def site in ascending site order.  An
+    instruction generates the bits of the defs it makes and kills the
+    whole block of every variable it defines, so the single all-variables
+    fixpoint restricted to one block is that variable's own reaching
+    definitions.  Returns, per variable with work to do, the union-find
+    over its def sites (plus ``ENTRY``), each use's representative
+    member, and the def and use sites -- the inputs of
+    :func:`_name_and_replace`.
     """
-    entry_bit = 1 << n
-    reach_in = [0] * n
-    out = [0] * n
-    if n:
-        reach_in[0] = entry_bit
-        out[0] = 1 if is_def[0] else entry_bit
-    worklist = list(range(n))
-    in_list = [True] * n
-    while worklist:
-        i = worklist.pop()
-        in_list[i] = False
-        new_in = entry_bit if i == 0 else 0
-        for p in preds[i]:
-            new_in |= out[p]
-        changed = new_in != reach_in[i]
-        reach_in[i] = new_in
-        new_out = (1 << i) if is_def[i] else new_in
-        if new_out != out[i] or changed:
-            out[i] = new_out
-            for s in succs[i]:
-                if not in_list[s]:
-                    in_list[s] = True
-                    worklist.append(s)
-    return reach_in
-
-
-def _rename_webs_dense(program: Program) -> Program:
-    """Mask-based :func:`rename_webs`.
-
-    One sweep gathers every variable's def and use sites (the reference
-    path re-scans the program per variable, re-deriving operand tuples
-    each time), and reaching definitions run over big-int masks.  The
-    union-find partition -- and hence the renamed program -- is identical
-    to the reference path's: all reaching defs of a use end up unioned,
-    so the choice of representative does not matter, and web naming
-    depends only on the partition.
-    """
-    variables = sorted(program.virtual_regs(), key=str)
     n = len(program.instrs)
     instrs = program.instrs
-    defs_l = [ins.defs for ins in instrs]
-    uses_l = [ins.uses for ins in instrs]
     succs = [program.successors(i) for i in range(n)]
     preds: List[List[int]] = [[] for _ in range(n)]
     for i in range(n):
@@ -280,51 +243,103 @@ def _rename_webs_dense(program: Program) -> Program:
             preds[s].append(i)
     def_sites_of: Dict[Reg, List[int]] = {}
     use_sites_of: Dict[Reg, List[int]] = {}
-    for i in range(n):
-        for v in set(defs_l[i]):
+    for i, ins in enumerate(instrs):
+        for v in set(ins.defs):
             def_sites_of.setdefault(v, []).append(i)
-        for v in set(uses_l[i]):
+        for v in set(ins.uses):
             use_sites_of.setdefault(v, []).append(i)
 
-    replace: Dict[Tuple[int, int], VirtualReg] = {}
-    taken = {v.name for v in variables}
+    variables = sorted(program.virtual_regs(), key=str)
+    base_of: Dict[Reg, int] = {}
+    gen = [0] * n
+    kill = [0] * n
+    entry = 0
+    nbits = 0
+    for var in variables:
+        if var not in use_sites_of:
+            continue  # no use to resolve: its defs stay separate webs
+        sites = def_sites_of.get(var, [])
+        base_of[var] = nbits
+        block = ((1 << (len(sites) + 1)) - 1) << nbits
+        entry |= 1 << nbits
+        for k, d in enumerate(sites, start=nbits + 1):
+            gen[d] |= 1 << k
+            kill[d] |= block
+        nbits += len(sites) + 1
 
+    reach_in = [0] * n
+    out = [0] * n
+    worklist = list(range(n - 1, -1, -1))
+    in_list = [True] * n
+    while worklist:
+        i = worklist.pop()
+        in_list[i] = False
+        new_in = entry if i == 0 else 0
+        for p in preds[i]:
+            new_in |= out[p]
+        reach_in[i] = new_in
+        new_out = (new_in & ~kill[i]) | gen[i]
+        if new_out != out[i]:
+            out[i] = new_out
+            for s in succs[i]:
+                if not in_list[s]:
+                    in_list[s] = True
+                    worklist.append(s)
+
+    partitions = {}
     for var in variables:
         def_sites = def_sites_of.get(var, [])
         use_sites = use_sites_of.get(var, [])
         if len(def_sites) <= 1 and not use_sites:
             continue
-        is_def = [False] * n
-        for d in def_sites:
-            is_def[d] = True
-        reach_in = _reaching_defs_dense(n, succs, preds, is_def)
-        entry_bit = 1 << n
         uf = _UnionFind()
         for d in def_sites + [ENTRY]:
             uf.find(d)
         use_webs: Dict[int, int] = {}
-        for u in use_sites:
-            m = reach_in[u]
-            has_entry = bool(m & entry_bit)
-            m &= entry_bit - 1  # def-site bits only
-            if not m:
-                use_webs[u] = ENTRY
-                continue
-            low = m & -m
-            first = low.bit_length() - 1
-            m ^= low
-            while m:
+        if use_sites:
+            base = base_of[var]
+            block = (1 << (len(def_sites) + 1)) - 1
+            for u in use_sites:
+                m = reach_in[u] >> base & block
+                has_entry = m & 1
+                m >>= 1  # def-site bits only
+                if not m:
+                    use_webs[u] = ENTRY
+                    continue
                 low = m & -m
-                uf.union(first, low.bit_length() - 1)
+                first = def_sites[low.bit_length() - 1]
                 m ^= low
-            if has_entry:
-                uf.union(first, ENTRY)
-            use_webs[u] = first
+                while m:
+                    low = m & -m
+                    uf.union(first, def_sites[low.bit_length() - 1])
+                    m ^= low
+                if has_entry:
+                    uf.union(first, ENTRY)
+                use_webs[u] = first
+        partitions[var] = (uf, use_webs, def_sites, use_sites)
+    return partitions
 
+
+def _rename_webs_dense(program: Program) -> Program:
+    """Mask-based :func:`rename_webs`.
+
+    One sweep gathers every variable's def and use sites (the reference
+    path re-scans the program per variable, re-deriving operand tuples
+    each time), and one bitmask fixpoint computes every variable's
+    reaching definitions at once (:func:`_web_partitions_dense`).  The
+    union-find partition -- and hence the renamed program -- is identical
+    to the reference path's: all reaching defs of a use end up unioned,
+    so the choice of representative does not matter, and web naming
+    depends only on the partition.
+    """
+    replace: Dict[Tuple[int, int], VirtualReg] = {}
+    taken = {v.name for v in program.virtual_regs()}
+    for var, (uf, use_webs, def_sites, use_sites) in _web_partitions_dense(
+        program
+    ).items():
         _name_and_replace(
             program, var, uf, use_webs, def_sites, use_sites, taken, replace
         )
-
     if not replace:
         return program.copy()
     return _apply_replacements(program, replace)

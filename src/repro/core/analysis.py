@@ -21,7 +21,7 @@ ranges is precomputed here, once per thread:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.cfg.liveness import Liveness, compute_liveness
 from repro.cfg.nsr import NsrInfo, compute_nsr
@@ -89,9 +89,12 @@ class ThreadAnalysis:
     csb_slots_of: Dict[Reg, FrozenSet[int]]
     defs_at: Dict[int, FrozenSet[Reg]]
     dying_at: Dict[int, FrozenSet[Reg]]
-    #: Per range: every (slot, other_range) pair that truly conflicts
-    #: (precomputed so the allocator's hot loop is pure dict/set lookups).
-    conflicts_at: Dict[Reg, Tuple[Tuple[int, "Reg"], ...]] = None  # type: ignore[assignment]
+    #: Backing store of :attr:`conflicts_at`: built eagerly by the
+    #: reference builder, on first access for dense-built analyses.  Not
+    #: compared: it is a function of ``occupants``/``defs_at``/``dying_at``.
+    _conflicts_at: Optional[Dict[Reg, Tuple[Tuple[int, "Reg"], ...]]] = field(
+        default=None, repr=False, compare=False
+    )
     #: Lazy per-slot regrouping of ``conflicts_at`` (see
     #: :meth:`conflicts_by_slot`); never compared or printed.
     _conflict_slot_index: Dict[
@@ -111,6 +114,20 @@ class ThreadAnalysis:
     @property
     def all_regs(self) -> List[Reg]:
         return sorted(self.slots, key=str)
+
+    @property
+    def conflicts_at(self) -> Dict[Reg, Tuple[Tuple[int, "Reg"], ...]]:
+        """Per range: every ``(slot, other_range)`` pair that truly
+        conflicts, ascending slot then ``str(other)``.
+
+        The reference allocator's probes walk these pairs; a dense-built
+        analysis answers its probes from bitmasks instead and derives the
+        pairs only when asked
+        (:meth:`repro.core.dense.DenseAnalysisIndex.conflicts_at`).
+        """
+        if self._conflicts_at is None:
+            self._conflicts_at = self.dense.conflicts_at()  # type: ignore[attr-defined]
+        return self._conflicts_at
 
     def conflicts_by_slot(
         self, reg: Reg
@@ -265,7 +282,7 @@ def analyze_thread(program: Program) -> ThreadAnalysis:
         csb_slots_of={r: frozenset(s) for r, s in csb_slots_of.items()},
         defs_at=defs_at,
         dying_at={s: frozenset(rs) for s, rs in dying_at.items()},
-        conflicts_at={
+        _conflicts_at={
             r: tuple(sorted(pairs, key=lambda p: (p[0], str(p[1]))))
             for r, pairs in conflicts_at.items()
         },

@@ -23,7 +23,7 @@ of variables per step).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterator, List, Set, Tuple
+from typing import Dict, FrozenSet, List, Set, Tuple
 
 from repro.core.analysis import ThreadAnalysis, true_conflict
 from repro.core.dense import mask_of_slots
@@ -223,7 +223,7 @@ class AllocContext:
     ) -> Dict[int, ProfileEntry]:
         """Mask-backed :meth:`conflict_profile`.
 
-        The per-other-range conflict masks are precomputed once per range
+        The per-other-range conflict masks are built once per range
         (:meth:`repro.core.dense.DenseAnalysisIndex.conflict_masks`); a
         probe intersects them with the piece's slot mask and groups the
         surviving bits by occupying piece.  Entries are emitted in the
@@ -233,10 +233,9 @@ class AllocContext:
         """
         an = self.analysis
         reg = piece.reg
-        pairs = an.conflicts_at.get(reg, ())
-        if not pairs:
+        masks = dense.conflict_masks(reg)  # type: ignore[attr-defined]
+        if not masks:
             return {}
-        masks = dense.conflict_masks(reg, pairs)  # type: ignore[attr-defined]
         whole = len(piece.slots) == len(an.slots[reg])
         pmask = None if whole else mask_of_slots(piece.slots)
         rank = dense.dmap.index  # type: ignore[attr-defined]
@@ -308,59 +307,57 @@ class AllocContext:
         """Would coloring ``piece`` with ``color`` clash with anything?
 
         Boolean-only form of :meth:`conflicts_with_color` for the
-        allocator's yes/no probes: the dense path scans the precomputed
-        conflict masks and stops at the first clashing piece instead of
-        collecting witnesses.
+        allocator's yes/no probes; a dense-built analysis answers from
+        :meth:`colors_in_conflict`.
         """
-        dense = getattr(self.analysis, "dense", None)
-        if dense is None:
+        if getattr(self.analysis, "dense", None) is None:
             return bool(self.conflicts_with_color(piece, color))
-        return any(
-            other.color == color
-            for other in self._dense_conflicts(piece, dense)
-        )
+        return color in self.colors_in_conflict(piece)
 
     def colors_in_conflict(self, piece: Piece) -> Set[int]:
         """All colors used by pieces truly conflicting with ``piece``.
 
         The key set of :meth:`conflict_profile`, for membership-only
-        probes: the dense path collects colors straight from the conflict
-        masks and builds no ordered entry lists.
+        probes.  A dense-built analysis answers in register index space
+        and builds no ordered entry lists: a split piece reads each of
+        its slots' conflict mask
+        (:meth:`~repro.core.dense.DenseAnalysisIndex.conflicts_at_slot`),
+        touching just the co-occupants there; a piece holding its whole
+        range reads the range's per-other-range conflict masks.
         """
         dense = getattr(self.analysis, "dense", None)
         if dense is None:
             return set(self.conflict_profile(piece))
-        return {other.color for other in self._dense_conflicts(piece, dense)}
-
-    def _dense_conflicts(self, piece: Piece, dense: object) -> Iterator[Piece]:
-        """Pieces truly conflicting with ``piece``, read from the
-        precomputed per-range conflict masks.  A piece of a split range is
-        yielded once per conflicting slot it holds."""
-        an = self.analysis
         reg = piece.reg
-        pairs = an.conflicts_at.get(reg, ())
-        if not pairs:
-            return
-        masks = dense.conflict_masks(reg, pairs)  # type: ignore[attr-defined]
-        whole = len(piece.slots) == len(an.slots[reg])
-        pmask = None if whole else mask_of_slots(piece.slots)
+        slots = piece.slots
         pieces = self.pieces
         assign = self._assign
-        counts = self._piece_count
-        for other_reg, m in masks.items():
-            if pmask is not None:
-                m &= pmask
-                if not m:
-                    continue
-            om = assign[other_reg]
-            if counts.get(other_reg, 0) <= 1:
-                low = m & -m
-                yield pieces[om[low.bit_length() - 1]]
-            else:
+        colors: Set[int] = set()
+        add = colors.add
+        whole = len(slots) == len(self.analysis.slots[reg])
+        if not whole:
+            i = dense.dmap.index[reg]  # type: ignore[attr-defined]
+            regs = dense.dmap.regs  # type: ignore[attr-defined]
+            at_slot = dense.conflicts_at_slot  # type: ignore[attr-defined]
+            for s in slots:
+                m = at_slot(i, s)
                 while m:
                     low = m & -m
                     m ^= low
-                    yield pieces[om[low.bit_length() - 1]]
+                    add(pieces[assign[regs[low.bit_length() - 1]][s]].color)
+            return colors
+        counts = self._piece_count
+        masks = dense.conflict_masks(reg)  # type: ignore[attr-defined]
+        for other_reg, m in masks.items():
+            om = assign[other_reg]
+            if counts.get(other_reg, 0) <= 1:
+                add(pieces[om[(m & -m).bit_length() - 1]].color)
+                continue
+            while m:
+                low = m & -m
+                m ^= low
+                add(pieces[om[low.bit_length() - 1]].color)
+        return colors
 
     def color_users(self, color: int) -> List[Piece]:
         """All pieces currently holding ``color``."""
@@ -449,6 +446,8 @@ class AllocContext:
         an = self.analysis
         for reg, slots in an.slots.items():
             m = self._assign.get(reg, {})
+            if m.keys() >= slots:
+                continue
             for s in slots:
                 if s not in m:
                     raise AllocationError(f"{reg} slot {s} unassigned")
@@ -466,16 +465,19 @@ class AllocContext:
         # Only co-occupants of one slot can conflict, and only those
         # sharing a color can clash: group each slot's occupants by piece
         # color and test true_conflict within a group.  O(occupancy), and
-        # the same check for dense and reference analyses.
+        # the same check for dense and reference analyses.  A slot whose
+        # occupants all hold distinct colors needs no grouping.
         pieces = self.pieces
         assign = self._assign
         empty: FrozenSet[Reg] = frozenset()
         for s, occ in an.occupants.items():
             if len(occ) < 2:
                 continue
+            colors = [pieces[assign[reg][s]].color for reg in occ]
+            if len(set(colors)) == len(colors):
+                continue
             groups: Dict[int, List[Reg]] = {}
-            for reg in occ:
-                color = pieces[assign[reg][s]].color
+            for reg, color in zip(occ, colors):
                 group = groups.setdefault(color, [])
                 for other in group:
                     if true_conflict(

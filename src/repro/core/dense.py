@@ -1,10 +1,10 @@
 """Dense-index bitset kernels for the cold analysis path.
 
-PR 3 made *warm* allocation cheap by caching whole analyses; this module
-makes the cache *miss* cheap.  Every per-program analysis pass -- the
-liveness fixpoint, interference-graph construction, and the
-slot/occupant/conflict model behind the intra-thread allocator -- has a
-rewrite here that renumbers live ranges and instruction slots to
+The analysis cache makes *warm* allocation cheap by keeping whole
+analyses; this module makes the cache *miss* cheap.  Every per-program
+analysis pass -- the liveness fixpoint, interference-graph construction,
+and the slot/occupant/conflict model behind the intra-thread allocator --
+has a rewrite here that renumbers live ranges and instruction slots to
 contiguous ints and runs on pure-Python big-int bitmasks instead of sets
 of rich operand objects.  No new dependencies: a Python ``int`` is the
 bit vector.
@@ -14,10 +14,11 @@ registers in ``str``-sorted order, so **ascending bit order equals the
 ``str`` order** the reference implementation sorts by.  Expanding a mask
 low-bit-first therefore reproduces every reference iteration order
 (occupant tuples, ``conflicts_at`` pair order, tie-breaks in the
-coloring heuristics) without ever calling ``sorted``.  That is what
-makes the two implementations bit-identical rather than merely
-equivalent: same :class:`~repro.core.analysis.ThreadAnalysis` contents,
-same allocations, same benchmark JSON.
+coloring heuristics and the Figure-7 merge) without ever calling
+``sorted``.  That is what makes the two implementations bit-identical
+rather than merely equivalent: same
+:class:`~repro.core.analysis.ThreadAnalysis` contents, same allocations,
+same benchmark JSON.
 
 Implementation selection mirrors :mod:`repro.sim.engine`: the process
 default comes from ``REPRO_ANALYSIS`` (``dense``, the default, or
@@ -28,18 +29,28 @@ off the presence of the :class:`DenseLiveness` payload the dense path
 attaches, so one switch point keeps a whole analysis internally
 consistent.
 
-The conflict kernel encodes the paper's def-vs-dying-use exception (see
-:func:`repro.core.analysis.true_conflict`) as three mask formulas.  For
-an occupant ``a`` of slot ``s`` with occupant mask ``occ``, def mask
-``defs`` and dying mask ``dying``::
+The conflict model lives in index space too
+(:class:`DenseAnalysisIndex`).  The def-vs-dying-use exception (see
+:func:`repro.core.analysis.true_conflict`) is three mask formulas at one
+slot.  For an occupant ``a`` of slot ``s`` with occupant mask ``occ``,
+def mask ``defs`` and dying mask ``dying``::
 
     a in defs:   conf = (occ & ~(dying & ~defs)) & ~bit(a)
     a in dying:  conf = (occ & ~defs)            & ~bit(a)
     otherwise:   conf =  occ                     & ~bit(a)
 
-``tests/test_dense.py`` checks this against the shared predicate over
-every membership combination, and differentially checks whole analyses,
-bounds and allocations against the reference implementation.
+and the same rule applied slot-parallel to per-range slot masks ``S``,
+def-slot masks ``D`` and dying-not-def-slot masks ``Y`` gives the slots
+where two ranges conflict::
+
+    S_a & S_b & ~((D_a & Y_b) | (Y_a & D_b))
+
+The allocator's probes read these masks; the ``(slot, other)`` pair
+lists of ``ThreadAnalysis.conflicts_at`` are derived only on first
+access.  ``tests/test_dense.py`` checks the formulas against the shared
+predicate over every membership combination, and differentially checks
+whole analyses, conflict masks, bounds and allocations against the
+reference implementation.
 """
 
 from __future__ import annotations
@@ -422,39 +433,151 @@ def build_interference_dense(
 class DenseAnalysisIndex:
     """Bitmask companion to a dense-built ``ThreadAnalysis``.
 
-    Carries the register renumbering, per-register occupied-slot masks,
-    and (built lazily, per register) the per-conflicting-range slot masks
-    the allocation context's conflict probes answer from.
+    Holds the analysis' :class:`DenseLiveness` -- per-slot occupant,
+    def and dying masks over register indices -- and answers the
+    allocation context's conflict probes in that index space:
+
+    * :meth:`conflicts_at_slot` -- the three-formula kernel at one slot;
+    * :meth:`conflict_masks` -- per other range, the slots where it
+      truly conflicts with a given range, built per range on first use
+      from per-range slot/def/dying-not-def masks;
+    * :meth:`conflicts_at` -- the ``ThreadAnalysis.conflicts_at`` pair
+      lists, derived on demand (no cold-path consumer needs them).
     """
 
-    __slots__ = ("dmap", "_slot_masks", "_conflict_masks")
+    __slots__ = ("dmap", "_dl", "_exceptions", "_conflict_masks")
 
-    def __init__(self, dmap: DenseMap, slot_masks: List[int]) -> None:
-        self.dmap = dmap
-        self._slot_masks = slot_masks
+    def __init__(self, dl: DenseLiveness) -> None:
+        self.dmap = dl.dmap
+        self._dl = dl
+        self._exceptions: Optional[Tuple[List[int], List[int]]] = None
         self._conflict_masks: Dict[Reg, Dict[Reg, int]] = {}
 
-    def slot_mask(self, reg: Reg) -> int:
-        i = self.dmap.index.get(reg)
-        return self._slot_masks[i] if i is not None else 0
+    def conflicts_at_slot(self, i: int, s: int) -> int:
+        """Register-index mask of the ranges truly conflicting with range
+        ``i`` at slot ``s`` (which it must occupy)."""
+        dl = self._dl
+        low = 1 << i
+        d = dl.defs[s]
+        if d & low:
+            return dl.occ[s] & ~(dl.dying[s] & ~d) & ~low
+        if dl.dying[s] & low:
+            return dl.occ[s] & ~d & ~low
+        return dl.occ[s] & ~low
 
-    def conflict_masks(
-        self, reg: Reg, pairs: Tuple[Tuple[int, Reg], ...]
-    ) -> Dict[Reg, int]:
-        """``conflicts_at[reg]`` regrouped as ``{other: slot mask}``.
+    def _exception_masks(self) -> Tuple[List[int], List[int]]:
+        """Per register index, the slots where it is defined and the slots
+        where it dies without being defined.
 
-        ``pairs`` must be the analysis' ``conflicts_at`` entry for
-        ``reg``; the grouping is memoized per register.
+        Built once and published in a single store, so a thread sharing
+        the analysis sees either nothing or both lists.
+        """
+        exceptions = self._exceptions
+        if exceptions is None:
+            dl = self._dl
+            nregs = len(self.dmap)
+            dm = [0] * nregs
+            ym = [0] * nregs
+            for s, (d, y) in enumerate(zip(dl.defs, dl.dying)):
+                bit = 1 << s
+                for i in bit_indices(d):
+                    dm[i] |= bit
+                for i in bit_indices(y & ~d):
+                    ym[i] |= bit
+            exceptions = self._exceptions = (dm, ym)
+        return exceptions
+
+    def conflict_masks(self, reg: Reg) -> Dict[Reg, int]:
+        """``{other: slot mask}`` of every range truly conflicting with
+        ``reg``, ascending ``str`` order; memoized per register.
+
+        With ``S`` a range's slot mask, ``D`` its def slots and ``Y`` its
+        dying-not-def slots, ranges ``a`` and ``b`` conflict at
+        ``S_a & S_b & ~((D_a & Y_b) | (Y_a & D_b))`` -- the
+        def-vs-dying-use exception of
+        :func:`repro.core.analysis.true_conflict` applied slot-parallel --
+        and only ranges co-occupying one of ``a``'s slots can conflict.
         """
         cm = self._conflict_masks.get(reg)
         if cm is None:
             cm = {}
-            for s, b in pairs:
-                bit = 1 << s
-                prev = cm.get(b)
-                cm[b] = bit if prev is None else prev | bit
+            a = self.dmap.index.get(reg)
+            if a is not None:
+                dl = self._dl
+                sm = dl.slot_masks()
+                dm, ym = self._exception_masks()
+                occ = dl.occ
+                sa, da, ya = sm[a], dm[a], ym[a]
+                co = 0
+                for s in bit_indices(sa):
+                    co |= occ[s]
+                co &= ~(1 << a)
+                regs = self.dmap.regs
+                for b in bit_indices(co):
+                    m = sa & sm[b] & ~((da & ym[b]) | (ya & dm[b]))
+                    if m:
+                        cm[regs[b]] = m
             self._conflict_masks[reg] = cm
         return cm
+
+    def conflicts_at(self) -> Dict[Reg, Tuple[Tuple[int, Reg], ...]]:
+        """Every range's ``(slot, other)`` conflict pairs, ascending slot
+        then ``str`` -- equal, order included, to the reference
+        builder's ``conflicts_at``.
+
+        Pair volume dominates large kernels (hundreds of thousands of
+        tuples), so each slot's ``(s, b)`` tuples are built once and
+        shared by all its occupants' lists: the clique case is two slice
+        copies around the occupant's own entry, and the exception cases
+        (:func:`repro.core.analysis.true_conflict`: a def skips the
+        dying-not-def ranges, a dying use skips the defs) filter the
+        shared list.
+        """
+        dl = self._dl
+        dmap = self.dmap
+        frozen = dmap.frozen
+        conflicts: Dict[Reg, List[Tuple[int, Reg]]] = {
+            r: [] for r in dmap.regs
+        }
+        for s, om in enumerate(dl.occ):
+            if not (om & (om - 1)):
+                continue  # fewer than two occupants: no pairs
+            occ_list = dmap.expand(om)
+            dm = dl.defs[s] & om
+            dym = dl.dying[s] & om
+            all_pairs = [(s, b) for b in occ_list]
+            if not (dm and dym):
+                # No def/dying-use exception possible: full clique.
+                for p, a in enumerate(occ_list):
+                    lst = conflicts[a]
+                    lst.extend(all_pairs[:p])
+                    lst.extend(all_pairs[p + 1 :])
+                continue
+            dnd_set = frozen(dym & ~dm)
+            def_set = frozen(dm)
+            m = om
+            for p, a in enumerate(occ_list):
+                low = m & -m
+                m ^= low
+                if dm & low:
+                    excl = dnd_set
+                elif dym & low:
+                    excl = def_set
+                else:
+                    excl = None
+                lst = conflicts[a]
+                if excl:
+                    lst.extend(
+                        [
+                            t
+                            for t in all_pairs
+                            if t[1] is not a and t[1] not in excl
+                        ]
+                    )
+                else:
+                    lst.extend(all_pairs[:p])
+                    lst.extend(all_pairs[p + 1 :])
+        return {r: tuple(v) for r, v in conflicts.items()}
 
 
 def finish_analysis_dense(
@@ -468,6 +591,8 @@ def finish_analysis_dense(
     Every dict/tuple is produced pre-sorted (slots ascend, mask bits
     ascend == ``str`` ascends), so no field needs a final sort and the
     result compares equal, order included, to the reference builder's.
+    ``conflicts_at`` is left to :meth:`DenseAnalysisIndex.conflicts_at`,
+    on first access: the conflict probes read the masks instead.
     """
     from repro.core.analysis import ThreadAnalysis
 
@@ -478,7 +603,6 @@ def finish_analysis_dense(
     n = len(program.instrs)
     occ = dl.occ
 
-    slot_masks = dl.slot_masks()
     slots = {r: dl.occupied_frozen(r) for r in regs}
 
     flow: Dict[Reg, List[Tuple[int, int]]] = {r: [] for r in regs}
@@ -513,51 +637,6 @@ def finish_analysis_dense(
     defs_at = {i: frozen(dl.defs[i]) for i in range(n) if dl.defs[i]}
     dying_at = {i: frozen(dl.dying[i]) for i in range(n) if dl.dying[i]}
 
-    # Pair volume dominates large kernels (hundreds of thousands of
-    # (slot, other) tuples), so the loop builds each slot's k ``(s, b)``
-    # tuples once and shares them across all k occupants' lists: the
-    # clique case is two slice copies around the occupant's own entry,
-    # and the exception cases filter the shared list instead of
-    # re-allocating tuples per pair.  Exceptions follow
-    # :func:`repro.core.analysis.true_conflict`: a def skips the
-    # dying-not-def ranges, a dying use skips the defs.
-    conflicts: Dict[Reg, List[Tuple[int, Reg]]] = {r: [] for r in regs}
-    for s, occ_list in occupants.items():
-        om = occ[s]
-        if not (om & (om - 1)):
-            continue  # fewer than two occupants: no pairs
-        dm = dl.defs[s] & om
-        dym = dl.dying[s] & om
-        all_pairs = [(s, b) for b in occ_list]
-        if not (dm and dym):
-            # No def/dying-use exception possible: full pairwise clique.
-            for p, a in enumerate(occ_list):
-                lst = conflicts[a]
-                lst.extend(all_pairs[:p])
-                lst.extend(all_pairs[p + 1 :])
-            continue
-        dnd_set = frozen(dym & ~dm)
-        def_set = frozen(dm)
-        m = om
-        for p, a in enumerate(occ_list):
-            low = m & -m
-            m ^= low
-            if dm & low:
-                excl = dnd_set
-            elif dym & low:
-                excl = def_set
-            else:
-                excl = None
-            lst = conflicts[a]
-            if excl:
-                lst.extend(
-                    [t for t in all_pairs if t[1] is not a and t[1] not in excl]
-                )
-            else:
-                lst.extend(all_pairs[:p])
-                lst.extend(all_pairs[p + 1 :])
-    conflicts_at = {r: tuple(v) for r, v in conflicts.items()}
-
     return ThreadAnalysis(
         program=program,
         liveness=liveness,
@@ -570,6 +649,5 @@ def finish_analysis_dense(
         csb_slots_of={r: frozenset(s) for r, s in csb_sets.items()},
         defs_at=defs_at,
         dying_at=dying_at,
-        conflicts_at=conflicts_at,
-        dense=DenseAnalysisIndex(dmap, slot_masks),
+        dense=DenseAnalysisIndex(dl),
     )

@@ -43,7 +43,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.core.analysis import ThreadAnalysis
 from repro.core.bounds import Bounds
 from repro.core.context import AllocContext
-from repro.core.intra import IntraAllocator, ReduceResult
+from repro.core.intra import IntraAllocator, ReduceResult, bounds_context
 from repro.errors import AllocationError
 from repro.obs import events as obs
 from repro.obs import metrics as obs_metrics
@@ -134,10 +134,22 @@ class _DescentEngine:
         if bounds is not None and len(bounds) != len(analyses):
             raise ValueError("bounds must match analyses one-to-one")
         self.policy = policy
-        self.allocators = [
-            IntraAllocator(a, bounds[i] if bounds is not None else None)
-            for i, a in enumerate(analyses)
-        ]
+        bs = list(bounds) if bounds is not None else [None] * len(analyses)
+        # Threads running one program share its cached analysis and
+        # bounds objects.  Their common start context is built and
+        # validated once; each of them gets its own copy, whose maps are
+        # cloned on first write, so no thread sees another's steps.
+        keys = [(id(a), id(b)) for a, b in zip(analyses, bs)]
+        starts: Dict[Tuple[int, int], AllocContext] = {}
+        self.allocators = []
+        for key, a, b in zip(keys, analyses, bs):
+            if b is None or keys.count(key) < 2:
+                self.allocators.append(IntraAllocator(a, b))
+                continue
+            start = starts.get(key)
+            if start is None:
+                start = starts[key] = bounds_context(a, b)
+            self.allocators.append(IntraAllocator(a, b, start.copy()))
         self.nthd = len(self.allocators)
         self.step_no = 0
         self.exhausted = False

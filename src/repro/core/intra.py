@@ -57,6 +57,14 @@ class ReduceResult:
     cost: int
 
 
+def bounds_context(analysis: ThreadAnalysis, bounds: Bounds) -> AllocContext:
+    """The validated unsplit context at the bounds' ``(MaxPR, MaxSR)``,
+    colored by the bounds' estimation coloring: every thread's start."""
+    return initial_context(
+        analysis, bounds.coloring, bounds.max_pr, bounds.max_r - bounds.max_pr
+    )
+
+
 class IntraAllocator:
     """Incremental per-thread allocator bound to one analysed program."""
 
@@ -64,14 +72,21 @@ class IntraAllocator:
     #: problem size inside :meth:`_eliminate_color`.
     _STEP_SLACK = 64
 
-    def __init__(self, analysis: ThreadAnalysis, bounds: Optional[Bounds] = None):
+    def __init__(
+        self,
+        analysis: ThreadAnalysis,
+        bounds: Optional[Bounds] = None,
+        context: Optional[AllocContext] = None,
+    ):
+        """``context``, when given, must be a private copy of
+        :func:`bounds_context` for these ``bounds`` (threads running one
+        program build it once); otherwise it is built here."""
         self.analysis = analysis
         self.bounds = bounds if bounds is not None else estimate_bounds(analysis)
-        self.context = initial_context(
-            analysis,
-            self.bounds.coloring,
-            self.bounds.max_pr,
-            self.bounds.max_r - self.bounds.max_pr,
+        self.context = (
+            context
+            if context is not None
+            else bounds_context(analysis, self.bounds)
         )
 
     def _note(self, event: str, **fields: object) -> None:

@@ -77,19 +77,25 @@ def rewrite_program(
     """Produce the physical-register program for one allocated thread."""
     program = analysis.program
 
+    # One PhysReg per color: operands equal by value either way.
+    phys_of: Dict[int, PhysReg] = {}
+
     def phys_at(reg: Reg, slot: int) -> PhysReg:
-        return regmap.phys(context.piece_of(reg, slot).color)
+        color = context.piece_of(reg, slot).color
+        phys = phys_of.get(color)
+        if phys is None:
+            phys = phys_of[color] = regmap.phys(color)
+        return phys
 
     rewritten: List[Instruction] = []
     for i, instr in enumerate(program.instrs):
-        new_ops = []
-        sig = instr.spec.signature
-        for role, op in zip(sig, instr.operands):
-            if role in ("D", "U"):
-                new_ops.append(phys_at(op, i))  # type: ignore[arg-type]
-            else:
-                new_ops.append(op)
-        rewritten.append(instr.with_operands(new_ops))
+        sp = instr.spec
+        new_ops = list(instr.operands)
+        for k in sp.def_positions:
+            new_ops[k] = phys_at(new_ops[k], i)  # type: ignore[arg-type]
+        for k in sp.use_positions:
+            new_ops[k] = phys_at(new_ops[k], i)  # type: ignore[arg-type]
+        rewritten.append(Instruction(instr.opcode, tuple(new_ops)))
     base = Program(name=program.name, instrs=rewritten, labels=dict(program.labels))
 
     # Group crossing flow edges by control-flow edge, then sequence each

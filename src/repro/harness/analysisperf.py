@@ -6,7 +6,9 @@ implementation (``repro.core.dense`` registry):
 * **analysis stage** -- :func:`~repro.core.analysis.analyze_thread` per
   kernel, best of ``repeats`` runs, no caching anywhere.  This is the
   work a cache miss pays (web renaming, liveness, NSRs, interference
-  graphs, the slot/conflict model).
+  graphs, the slot/conflict model).  The timed call also reads
+  ``conflicts_at``, which a dense analysis derives on first access, so
+  both implementations produce the same fields.
 * **end-to-end cold allocation** -- the :mod:`~repro.harness.allocperf`
   grid (every kernel at ``nthd`` threads under three budgets from its
   own bounds) through the public pipeline with a fresh, empty analysis
@@ -183,7 +185,12 @@ def run_analysis_bench(
             for impl in ("reference", "dense"):
                 set_default_analysis_impl(impl)
                 digests[impl] = analysis_digest(analyze_thread(program))
-                seconds = _best(lambda: analyze_thread(program), repeats)
+                # Read ``conflicts_at`` inside the timed call: a dense
+                # analysis derives it on first access, the reference
+                # builds it eagerly, so both sides produce every field.
+                seconds = _best(
+                    lambda: analyze_thread(program).conflicts_at, repeats
+                )
                 row[f"{impl}_s"] = seconds
                 totals[impl] += seconds
             row["speedup"] = (

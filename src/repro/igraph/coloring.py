@@ -21,6 +21,7 @@ identical colorings, insertion order included.
 
 from __future__ import annotations
 
+import heapq
 from typing import Dict, Hashable, Iterable, List, Optional
 
 from repro.igraph.graph import Node, UndirectedGraph, popcount
@@ -97,7 +98,10 @@ def _dsatur_dense(graph: UndirectedGraph) -> Coloring:
     Saturation sets are color masks; the selection maximum is taken over
     ``(popcount(sat), degree, index)``, which equals the reference key
     ``(len(sat), degree, str(node))`` because dense indices are assigned
-    in ``str`` order and node strings are pairwise distinct.
+    in ``str`` order and node strings are pairwise distinct.  Selection
+    pops a lazy heap keyed ``(-sat, -degree, -index)``: a node is pushed
+    again whenever its saturation grows, and stale entries (colored
+    node, or a saturation that has since grown) are skipped on pop.
     """
     view = graph.dense_view()
     nodes = view.nodes
@@ -106,22 +110,28 @@ def _dsatur_dense(graph: UndirectedGraph) -> Coloring:
     deg = [popcount(m) for m in masks]
     sat = [0] * k
     sat_cnt = [0] * k
-    uncolored = set(range(k))
+    uncolored = (1 << k) - 1
+    heap = [(0, -deg[x], -x) for x in range(k)]
+    heapq.heapify(heap)
     coloring: Coloring = {}
-    while uncolored:
-        i = max(uncolored, key=lambda x: (sat_cnt[x], deg[x], x))
+    while heap:
+        neg_sat, _, neg_i = heapq.heappop(heap)
+        i = -neg_i
+        if not uncolored >> i & 1 or -neg_sat != sat_cnt[i]:
+            continue
         color = _lowest_clear_bit(sat[i])
         coloring[nodes[i]] = color
-        uncolored.discard(i)
+        uncolored ^= 1 << i
         bit = 1 << color
-        m = masks[i]
+        m = masks[i] & uncolored
         while m:
             low = m & -m
             m ^= low
             nbr = low.bit_length() - 1
-            if nbr in uncolored and not (sat[nbr] & bit):
+            if not sat[nbr] & bit:
                 sat[nbr] |= bit
                 sat_cnt[nbr] += 1
+                heapq.heappush(heap, (-sat_cnt[nbr], -deg[nbr], -nbr))
     return coloring
 
 
@@ -159,26 +169,33 @@ def _simplify_dense(graph: UndirectedGraph) -> Coloring:
 
     Degrees decrement in place instead of mutating a graph copy; the
     removal minimum ``(degree, index)`` equals the reference key
-    ``(degree, str(node))`` by the dense-index order invariant.
+    ``(degree, str(node))`` by the dense-index order invariant.  It is
+    popped from a lazy heap keyed ``(degree, index)``: a node is pushed
+    again whenever its degree drops, and entries of removed nodes or
+    with a since-lowered degree are skipped on pop.
     """
     view = graph.dense_view()
     nodes = view.nodes
     masks = view.masks
     k = len(nodes)
     deg = [popcount(m) for m in masks]
-    remaining = set(range(k))
-    removed_mask = 0
+    heap = [(deg[x], x) for x in range(k)]
+    heapq.heapify(heap)
+    remaining = (1 << k) - 1
     stack: List[int] = []
-    while remaining:
-        i = min(remaining, key=lambda x: (deg[x], x))
+    while heap:
+        d, i = heapq.heappop(heap)
+        if not remaining >> i & 1 or d != deg[i]:
+            continue
         stack.append(i)
-        remaining.discard(i)
-        removed_mask |= 1 << i
-        m = masks[i] & ~removed_mask
+        remaining ^= 1 << i
+        m = masks[i] & remaining
         while m:
             low = m & -m
             m ^= low
-            deg[low.bit_length() - 1] -= 1
+            nbr = low.bit_length() - 1
+            deg[nbr] -= 1
+            heapq.heappush(heap, (deg[nbr], nbr))
     colarr = [0] * k
     colored_mask = 0
     coloring: Coloring = {}

@@ -21,20 +21,25 @@ much cheaper than coloring the whole GIG -- and then merges the colorings:
 
 The result is a valid GIG coloring in which every boundary node's color is
 below ``MaxPR`` -- exactly the paper's "coloring scheme" conditions 1-3.
+
+The merge runs in the GIG's index space
+(:meth:`~repro.igraph.graph.UndirectedGraph.dense_view`, bit order ==
+``str`` order): a color array plus one node bitmask per color class, so
+"some neighbor of ``x`` uses ``c``" is ``adj[x] & cls[c]``.  Edges are
+walked as ascending ``(i, j > i)`` pairs -- the order of
+:meth:`~repro.igraph.graph.UndirectedGraph.edges` -- and each node's
+remaining same-colored neighbors are re-masked after every fix, so every
+decision, and hence the coloring, matches an edge-by-edge walk over
+``Reg``-keyed sets.  Widening ``MaxPR`` inserts an empty class at the old
+``MaxPR``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import List, Optional, Tuple
 
-from repro.igraph.coloring import (
-    Coloring,
-    first_free_color,
-    min_color,
-    num_colors,
-)
-from repro.igraph.graph import Node, UndirectedGraph
+from repro.igraph.coloring import Coloring, min_color, num_colors
 from repro.igraph.interference import InterferenceGraphs
 
 
@@ -57,7 +62,7 @@ class MergeResult:
 def merge_region_colorings(graphs: InterferenceGraphs) -> MergeResult:
     """Run the Figure-7 estimation over a thread's interference graphs."""
     big_coloring = min_color(graphs.big)
-    max_pr = max(num_colors(big_coloring), 0)
+    max_pr = num_colors(big_coloring)
 
     coloring: Coloring = dict(big_coloring)
     max_r = max_pr
@@ -72,76 +77,86 @@ def merge_region_colorings(graphs: InterferenceGraphs) -> MergeResult:
         coloring.setdefault(node, 0)
     if coloring and max_r == 0:
         max_r = 1
+
+    view = graphs.gig.dense_view()
+    k = len(view.nodes)
+    # Region nodes outside the GIG (possible only for hand-built graphs)
+    # have no edges; they take part in the widening shift alone.
+    order = view.nodes + [n for n in coloring if n not in view.index]
+    adj = view.masks + [0] * (len(order) - k)
+    col = [coloring[n] for n in order]
+    cls = [0] * max_r  # min_color's colors are contiguous from 0
+    for x, c in enumerate(col):
+        cls[c] |= 1 << x
     boundary = graphs.boundary
+    bmask = 0
+    for x, n in enumerate(order):
+        if n in boundary:
+            bmask |= 1 << x
 
-    def palette_limit(node: Node) -> int:
-        return max_pr if node in boundary else max_r
+    def set_color(x: int, c: int) -> None:
+        bit = 1 << x
+        cls[col[x]] ^= bit
+        cls[c] |= bit
+        col[x] = c
 
-    def neighbor_colors(node: Node) -> Set[int]:
-        return {
-            coloring[nbr]
-            for nbr in graphs.gig.neighbor_set(node)
-            if nbr in coloring
-        }
+    def free_color(x: int) -> Optional[int]:
+        """Lowest color of ``x``'s palette, other than its own, that no
+        GIG neighbor uses."""
+        cur = col[x]
+        nbrs = adj[x]
+        for c in range(max_pr if bmask >> x & 1 else max_r):
+            if c != cur and not nbrs & cls[c]:
+                return c
+        return None
 
-    def try_recolor(node: Node) -> bool:
-        """Recolor ``node`` within its palette avoiding GIG neighbors."""
-        used = neighbor_colors(node)
-        for c in range(palette_limit(node)):
-            if c != coloring[node] and c not in used:
-                coloring[node] = c
-                return True
-        return False
+    def try_recolor(x: int) -> bool:
+        """Recolor ``x`` within its palette avoiding GIG neighbors."""
+        c = free_color(x)
+        if c is None:
+            return False
+        set_color(x, c)
+        return True
 
-    def try_recolor_neighbors(node: Node) -> bool:
-        """Free some palette color for ``node`` by moving one neighbor."""
-        used = neighbor_colors(node)
-        for c in range(palette_limit(node)):
-            if c == coloring[node] or c not in used:
+    def try_recolor_neighbors(x: int) -> bool:
+        """Free some palette color for ``x`` by moving its neighbors."""
+        cur = col[x]
+        nbrs = adj[x]
+        for c in range(max_pr if bmask >> x & 1 else max_r):
+            blockers = nbrs & cls[c]
+            if c == cur or not blockers:
                 continue
-            blockers = [
-                nbr
-                for nbr in graphs.gig.neighbors(node)
-                if coloring.get(nbr) == c
-            ]
-            moved: List[Tuple[Node, int]] = []
-            ok = True
-            for blocker in blockers:
-                old = coloring[blocker]
-                b_used = neighbor_colors(blocker)
-                choice = next(
-                    (
-                        bc
-                        for bc in range(palette_limit(blocker))
-                        if bc != old and bc not in b_used
-                    ),
-                    None,
-                )
+            moved: List[Tuple[int, int]] = []
+            while blockers:
+                low = blockers & -blockers
+                blockers ^= low
+                y = low.bit_length() - 1
+                choice = free_color(y)
                 if choice is None:
-                    ok = False
                     break
-                coloring[blocker] = choice
-                moved.append((blocker, old))
-            if ok and c not in neighbor_colors(node):
-                coloring[node] = c
-                return True
-            for blocker, old in reversed(moved):
-                coloring[blocker] = old
+                moved.append((y, col[y]))
+                set_color(y, choice)
+            else:
+                if not nbrs & cls[c]:
+                    set_color(x, c)
+                    return True
+            for y, old in reversed(moved):
+                set_color(y, old)
         return False
 
-    def widen_for(node: Node) -> None:
+    def widen_for(x: int) -> None:
         nonlocal max_pr, max_r
-        if node in boundary:
+        if bmask >> x & 1:
             # New private color: shift every shared-range color up by one
             # so private colors stay the contiguous prefix [0, max_pr).
-            for other, c in list(coloring.items()):
-                if c >= max_pr:
-                    coloring[other] = c + 1
-            coloring[node] = max_pr
+            cls.insert(max_pr, 0)
+            col[:] = [c + 1 if c >= max_pr else c for c in col]
+            set_color(x, max_pr)
             max_pr += 1
             max_r = max(max_r + 1, max_pr)
         else:
-            coloring[node] = max_r
+            cls.extend([0] * (max_r + 1 - len(cls)))
+            set_color(x, max_r)
             max_r += 1
 
     # Conflict-edge worklist.  Resolving one edge can only change colors,
@@ -153,19 +168,29 @@ def merge_region_colorings(graphs: InterferenceGraphs) -> MergeResult:
         if passes > len(coloring) + 10:
             raise AssertionError("region merge failed to converge")
         changed = False
-        for a, b in graphs.gig.edges():
-            if coloring[a] != coloring[b]:
-                continue
-            changed = True
-            # Prefer to move an internal endpoint (wider palette, and a
-            # widening there costs a shared register, not a private one).
-            first, second = (a, b)
-            if a in boundary and b not in boundary:
-                first, second = b, a
-            if try_recolor(first) or try_recolor(second):
-                continue
-            if try_recolor_neighbors(first) or try_recolor_neighbors(second):
-                continue
-            widen_for(first)
+        for a in range(k):
+            # Same-colored neighbors above ``a``: the conflicting edges
+            # (a, b > a), lowest first, re-masked after every fix.
+            same = adj[a] & cls[col[a]] & ~((2 << a) - 1)
+            while same:
+                low = same & -same
+                b = low.bit_length() - 1
+                changed = True
+                # Prefer to move an internal endpoint (wider palette, and a
+                # widening there costs a shared register, not a private
+                # one).
+                first, second = a, b
+                if bmask >> a & 1 and not bmask & low:
+                    first, second = b, a
+                if not (
+                    try_recolor(first)
+                    or try_recolor(second)
+                    or try_recolor_neighbors(first)
+                    or try_recolor_neighbors(second)
+                ):
+                    widen_for(first)
+                same = adj[a] & cls[col[a]] & ~((low << 1) - 1)
 
+    for x, node in enumerate(order):
+        coloring[node] = col[x]
     return MergeResult(coloring=coloring, max_pr=max_pr, max_r=max_r)

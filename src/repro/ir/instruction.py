@@ -54,18 +54,14 @@ class Instruction:
     @property
     def defs(self) -> Tuple[Reg, ...]:
         """Registers written by this instruction."""
-        sig = self.spec.signature
-        return tuple(
-            op for role, op in zip(sig, self.operands) if role == D  # type: ignore[misc]
-        )
+        ops = self.operands
+        return tuple([ops[i] for i in spec(self.opcode).def_positions])  # type: ignore[misc]
 
     @property
     def uses(self) -> Tuple[Reg, ...]:
         """Registers read by this instruction."""
-        sig = self.spec.signature
-        return tuple(
-            op for role, op in zip(sig, self.operands) if role == U  # type: ignore[misc]
-        )
+        ops = self.operands
+        return tuple([ops[i] for i in spec(self.opcode).use_positions])  # type: ignore[misc]
 
     @property
     def regs(self) -> Tuple[Reg, ...]:

@@ -88,6 +88,11 @@ class Opcode(enum.Enum):
     def __str__(self) -> str:  # pragma: no cover - trivial
         return self.value
 
+    # Members are singletons that compare by identity, so they hash by
+    # identity too: a C-level hash, where ``Enum``'s is a Python call
+    # (``hash(self._name_)``) paid by every :func:`spec` lookup.
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True)
 class OpSpec:
@@ -108,6 +113,18 @@ class OpSpec:
     is_memory: bool = False
     is_ctx: bool = False
     is_halt: bool = False
+    #: Operand positions of the defs and of the uses, in source order.
+    def_positions: Tuple[int, ...] = field(init=False, repr=False)
+    use_positions: Tuple[int, ...] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        sig = self.signature
+        object.__setattr__(
+            self, "def_positions", tuple(i for i, r in enumerate(sig) if r == D)
+        )
+        object.__setattr__(
+            self, "use_positions", tuple(i for i, r in enumerate(sig) if r == U)
+        )
 
     @property
     def is_csb(self) -> bool:
@@ -116,11 +133,11 @@ class OpSpec:
 
     @property
     def n_defs(self) -> int:
-        return sum(1 for r in self.signature if r == D)
+        return len(self.def_positions)
 
     @property
     def n_uses(self) -> int:
-        return sum(1 for r in self.signature if r == U)
+        return len(self.use_positions)
 
 
 def _alu_rr() -> OpSpec:

@@ -62,6 +62,11 @@ def _parse_imm(token: str, line_no: int, line: str) -> Imm:
 
 def _split_operands(text: str) -> List[str]:
     """Split an operand list on commas that are outside brackets."""
+    if "[" not in text:
+        parts = [part.strip() for part in text.split(",")]
+        if not parts[-1]:
+            parts.pop()  # an empty tail is dropped, as below
+        return parts
     parts: List[str] = []
     depth = 0
     cur = []

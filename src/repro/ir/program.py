@@ -93,22 +93,16 @@ class Program:
         Like :meth:`target_pcs`, the digest is recomputed on each call so
         structural edits between calls can never serve a stale identity.
         """
-        h = hashlib.sha256()
-        h.update(self.name.encode())
+        # One text, encoded and hashed once: the separators are ASCII,
+        # so the bytes equal the per-field encodings concatenated.
+        parts = [self.name]
         for label, index in sorted(self.labels.items()):
-            h.update(b"\x1eL")
-            h.update(label.encode())
-            h.update(b"\x1f")
-            h.update(str(index).encode())
+            parts.append(f"\x1eL{label}\x1f{index}")
         for instr in self.instrs:
-            h.update(b"\x1eI")
-            h.update(instr.opcode.name.encode())
+            parts.append("\x1eI" + instr.opcode.name)
             for op in instr.operands:
-                h.update(b"\x1f")
-                h.update(type(op).__name__.encode())
-                h.update(b"\x1f")
-                h.update(str(op).encode())
-        return h.hexdigest()
+                parts.append(f"\x1f{type(op).__name__}\x1f{op}")
+        return hashlib.sha256("".join(parts).encode()).hexdigest()
 
     def successors(self, index: int) -> Tuple[int, ...]:
         """Instruction-level control-flow successors of instruction ``index``.

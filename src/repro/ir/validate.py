@@ -13,10 +13,10 @@
 
 from __future__ import annotations
 
-from typing import Set
+from typing import List, Optional, Set, Tuple
 
 from repro.errors import ValidationError
-from repro.ir.operands import PhysReg, VirtualReg
+from repro.ir.operands import PhysReg, Reg, VirtualReg
 from repro.ir.program import Program
 
 
@@ -32,58 +32,77 @@ def validate_program(program: Program, check_init: bool = True) -> None:
                 f"{index}, outside [0, {n})"
             )
     for index, instr in enumerate(program.instrs):
-        if instr.spec.is_branch:
+        sp = instr.spec
+        if sp.is_branch:
             program.resolve(instr.target.name)  # raises when undefined
-        terminal = instr.spec.is_halt or (
-            instr.spec.is_branch and not instr.spec.is_cond
-        )
+        terminal = sp.is_halt or (sp.is_branch and not sp.is_cond)
         if index == n - 1 and not terminal:
             raise ValidationError(
                 f"program {program.name!r}: control falls off the end "
                 f"(last instruction is {instr.opcode})"
             )
 
-    has_virtual = any(
-        isinstance(r, VirtualReg) for i in program.instrs for r in i.regs
-    )
-    has_phys = any(
-        isinstance(r, PhysReg) for i in program.instrs for r in i.regs
-    )
+    # Operand roles are derived from the opcode signature on every access;
+    # read them once per instruction for all the checks below.
+    defs_l = [instr.defs for instr in program.instrs]
+    uses_l = [instr.uses for instr in program.instrs]
+    regs: Set[Reg] = set().union(*defs_l, *uses_l)
+    has_virtual = any(isinstance(r, VirtualReg) for r in regs)
+    has_phys = any(isinstance(r, PhysReg) for r in regs)
     if has_virtual and has_phys:
         raise ValidationError(
             f"program {program.name!r} mixes virtual and physical registers"
         )
 
     if check_init and has_virtual:
-        _check_defined_before_use(program)
+        _check_defined_before_use(program, regs, defs_l, uses_l)
 
 
-def _check_defined_before_use(program: Program) -> None:
-    """Forward may-be-uninitialised analysis over virtual registers."""
+def _check_defined_before_use(
+    program: Program,
+    regs: Set[Reg],
+    defs_l: List[Tuple[Reg, ...]],
+    uses_l: List[Tuple[Reg, ...]],
+) -> None:
+    """Forward may-be-uninitialised analysis over virtual registers.
+
+    ``regs`` are the program's registers (all virtual here) and
+    ``defs_l``/``uses_l`` each instruction's defs and uses.  States are
+    register bitmasks, one bit per register in any fixed order (the
+    order of the first error is set by instructions and ``uses``, never
+    by bits).  The first read found -- lowest instruction, then
+    ``instr.uses`` order -- raises; unreachable code is skipped.
+    """
     n = len(program.instrs)
-    all_regs = program.virtual_regs()
-    # maybe_undef[i]: registers possibly uninitialised before instruction i.
-    maybe_undef = [set(all_regs) if i == 0 else None for i in range(n)]
+    index = {reg: i for i, reg in enumerate(regs)}
+    kill = []
+    for defs in defs_l:
+        mask = 0
+        for reg in defs:
+            mask |= 1 << index[reg]
+        kill.append(mask)
+    # maybe_undef[i]: registers possibly uninitialised before instruction
+    # i; None while i has not been reached.
+    maybe_undef: List[Optional[int]] = [None] * n
+    maybe_undef[0] = (1 << len(index)) - 1
     worklist = [0]
     while worklist:
         i = worklist.pop()
-        cur: Set[VirtualReg] = maybe_undef[i]  # type: ignore[assignment]
-        instr = program.instrs[i]
-        out = cur - set(instr.defs)
+        out = maybe_undef[i] & ~kill[i]  # type: ignore[operator]
         for succ in program.successors(i):
             prev = maybe_undef[succ]
             if prev is None:
-                maybe_undef[succ] = set(out)
+                maybe_undef[succ] = out
                 worklist.append(succ)
-            elif not out <= prev:
-                prev |= out
+            elif out & ~prev:
+                maybe_undef[succ] = prev | out
                 worklist.append(succ)
-    for i, instr in enumerate(program.instrs):
-        state = maybe_undef[i]
-        if state is None:
-            continue  # unreachable code: nothing to check
-        for reg in instr.uses:
-            if isinstance(reg, VirtualReg) and reg in state:
+    for i, state in enumerate(maybe_undef):
+        if not state:
+            continue  # unreachable code, or nothing undefined here
+        for reg in uses_l[i]:
+            if isinstance(reg, VirtualReg) and state >> index[reg] & 1:
+                instr = program.instrs[i]
                 raise ValidationError(
                     f"program {program.name!r}: {reg} may be read "
                     f"uninitialised at instruction {i} ({instr.opcode})"

@@ -1,9 +1,24 @@
 """Unit tests for web renaming."""
 
-from repro.cfg.webs import rename_webs
+import random
+
+import pytest
+
+from repro.cfg.webs import (
+    ENTRY,
+    _rename_webs_dense,
+    _web_partitions_dense,
+    rename_webs,
+)
 from repro.ir.operands import VirtualReg
 from repro.ir.parser import parse_program
 from repro.sim.run import outputs_match, run_reference
+from repro.suite.registry import BENCHMARKS, load
+from tests.oracles import (
+    partition_of,
+    rename_webs_per_variable,
+    web_partitions_per_variable,
+)
 
 
 def names(program):
@@ -100,3 +115,77 @@ def test_benchmark_scratch_reuse_is_split():
     out = rename_webs(md5)
     nb_webs = {n for n in names(out) if n.startswith("nb")}
     assert len(nb_webs) > 1  # the per-step scratch splits into many webs
+
+
+# ---------------------------------------------------------------------------
+# One all-variables reaching-definitions fixpoint vs one per variable
+
+
+def random_program_text(rng: random.Random, nregs: int = 4) -> str:
+    """A random program with branches, loops, ``ctx`` and name reuse.
+
+    Registers may be read before any def (entry-live or uninitialised
+    reads) and code after an unconditional branch may be unreachable;
+    every label is placed and the program ends in ``halt``, so it passes
+    the structural checks of :func:`repro.ir.validate.validate_program`.
+    """
+    regs = [f"%r{i}" for i in range(nregs)]
+    n = rng.randint(1, 16)
+    labels = [f"L{k}" for k in range(rng.randint(0, 3))]
+    place = {label: rng.randint(0, n) for label in labels}
+    lines = []
+    for i in range(n + 1):
+        lines.extend(f"{label}:" for label, at in place.items() if at == i)
+        if i == n:
+            break
+        c = rng.randrange(7)
+        d, a, b = (rng.choice(regs) for _ in range(3))
+        if c <= 1:
+            lines.append(f"movi {d}, {rng.randint(0, 9)}")
+        elif c == 2:
+            lines.append(f"add {d}, {a}, {b}")
+        elif c == 3:
+            lines.append(f"store {a}, [{b} + 1]")
+        elif c == 4 and labels:
+            lines.append(f"beqi {a}, {rng.randint(0, 2)}, {rng.choice(labels)}")
+        elif c == 5 and labels:
+            lines.append(f"br {rng.choice(labels)}")
+        else:
+            lines.append("ctx")
+    lines.append("halt")
+    return "\n".join(lines) + "\n"
+
+
+def _block(uf, members, x):
+    root = uf.find(x)
+    return frozenset(m for m in members if uf.find(m) == root)
+
+
+def assert_same_web_partitions(program):
+    got = _web_partitions_dense(program)
+    want = web_partitions_per_variable(program)
+    assert list(got) == list(want)
+    for var, (uf, use_webs, defs, uses) in got.items():
+        wuf, wuse_webs, wdefs, wuses = want[var]
+        assert (defs, uses) == (wdefs, wuses)
+        members = defs + [ENTRY]
+        assert partition_of(uf, members) == partition_of(wuf, members)
+        for u in uses:
+            assert _block(uf, members, use_webs[u]) == _block(
+                wuf, members, wuse_webs[u]
+            )
+    renamed = _rename_webs_dense(program)
+    oracle = rename_webs_per_variable(program)
+    assert renamed.instrs == oracle.instrs
+    assert renamed.labels == oracle.labels
+
+
+@pytest.mark.parametrize("name", sorted(BENCHMARKS))
+def test_suite_web_partitions_match_per_variable_fixpoints(name):
+    assert_same_web_partitions(load(name))
+
+
+def test_random_web_partitions_match_per_variable_fixpoints():
+    for seed in range(300):
+        text = random_program_text(random.Random(seed))
+        assert_same_web_partitions(parse_program(text, f"gen{seed}"))

@@ -129,6 +129,29 @@ def test_disk_stale_analysis_is_a_miss(tmp_path):
         got.flow_edges_by_slot(reg)
 
 
+def test_disk_analysis_with_renamed_field_is_a_quarantined_miss(tmp_path):
+    # A build that kept the conflict pairs in a plain ``conflicts_at``
+    # field pickled them under that name.  Lacking ``_conflicts_at``,
+    # the entry must be quarantined and recomputed, not loaded.
+    cache = AnalysisCache(cache_dir=tmp_path)
+    p = prog()
+    an = analyze_thread(p)
+    pairs = an.conflicts_at
+    del an.__dict__["_conflicts_at"]
+    an.__dict__["conflicts_at"] = pairs
+    (tmp_path / f"{p.fingerprint()}.pkl").write_bytes(
+        pickle.dumps((an, None))
+    )
+    with events.capture() as em:
+        got = cache.analyze(p)
+    assert cache.stats.disk_errors == 1
+    assert cache.stats.misses == 1
+    assert (tmp_path / f"{p.fingerprint()}.bad").exists()
+    disk_events = [e for e in em.events if e.name == "cache.disk_error"]
+    assert disk_events[0].fields["action"] == "quarantined"
+    assert got.conflicts_at == pairs
+
+
 def _disk_hammer(arg):
     """Module-level worker: concurrent reader+writer of one cache dir."""
     tmp, rounds = arg

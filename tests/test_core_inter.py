@@ -121,3 +121,61 @@ def test_default_step_cap_never_fires_on_suite():
     ans = analyses((FIG3_T1, "t1"), (FIG3_T2, "t2"))
     result = allocate_threads(ans, nreg=5)
     assert result.fits()
+
+
+def _context_summary(result):
+    return [
+        (
+            t.pr,
+            t.sr,
+            t.move_cost,
+            [
+                (p.pid, str(p.reg), sorted(p.slots), p.color)
+                for p in t.context.all_pieces()
+            ],
+        )
+        for t in result.threads
+    ]
+
+
+@pytest.mark.parametrize("name", ["crc", "url", "fir2dim"])
+def test_threads_sharing_a_program_allocate_as_separate_ones(name):
+    # Threads running one program share its analysis and bounds objects
+    # and start from copies of one start context; the allocation must
+    # equal that of threads holding separate, equal objects.
+    program = load(name)
+    shared = analyze_thread(program)
+    b = estimate_bounds(shared)
+    separate = [analyze_thread(program) for _ in range(4)]
+    sep_bounds = [estimate_bounds(a) for a in separate]
+    floor = 4 * b.min_pr + (b.min_r - b.min_pr)
+    ceiling = 4 * b.max_pr + (b.max_r - b.max_pr)
+    for nreg in sorted({ceiling, (floor + ceiling) // 2, floor}):
+        try:
+            want = allocate_threads(separate, nreg=nreg, bounds=sep_bounds)
+        except AllocationError:
+            with pytest.raises(AllocationError):
+                allocate_threads([shared] * 4, nreg=nreg, bounds=[b] * 4)
+            continue
+        got = allocate_threads([shared] * 4, nreg=nreg, bounds=[b] * 4)
+        assert _context_summary(got) == _context_summary(want)
+
+
+def test_shared_start_contexts_are_private_copies():
+    an = analyze_thread(load("crc"))
+    b = estimate_bounds(an)
+    ceiling = 4 * b.max_pr + (b.max_r - b.max_pr)
+    result = allocate_threads([an] * 4, nreg=ceiling, bounds=[b] * 4)
+    before = _context_summary(result)
+    first = result.threads[0].context
+    piece = max(first.all_pieces(), key=lambda p: len(p.slots))
+    part = frozenset(sorted(piece.slots)[:1])
+    first.split_piece(piece, part, piece.color)
+    for t in result.threads[1:]:
+        t.context.validate()
+    assert _context_summary(result)[1:] == before[1:]
+    assert all(
+        t.context is not u.context
+        for i, t in enumerate(result.threads)
+        for u in result.threads[i + 1:]
+    )

@@ -230,3 +230,51 @@ def test_colors_in_conflict_is_profile_key_set(name, kind):
     for piece in random.Random(2).sample(pieces, min(len(pieces), 2000)):
         want = set(ctx.conflict_profile(piece))
         assert ctx.colors_in_conflict(piece) == want
+
+
+def _halved(name, impl):
+    """The initial context with every range of more than eight slots
+    split into two halves: pieces that own many, but not all, of their
+    range's slots."""
+    ctx = _context(name, impl, "initial").copy()
+    for piece in ctx.all_pieces():
+        slots = sorted(piece.slots)
+        if len(slots) > 8:
+            half = frozenset(slots[: len(slots) // 2])
+            ctx.split_piece(piece, half, piece.color)
+    return ctx
+
+
+@pytest.mark.parametrize("kind", ["initial", "pointwise", "halved"])
+@pytest.mark.parametrize("name", PROBE_KERNELS)
+def test_dense_probes_match_reference_analysis(name, kind):
+    # Both implementations build identical contexts; the dense probes --
+    # slot by slot for small pieces, per-range masks otherwise -- must
+    # give the reference analysis' answers, profile order included.
+    if kind == "halved":
+        dctx, rctx = _halved(name, "dense"), _halved(name, "reference")
+    else:
+        dctx = _context(name, "dense", kind)
+        rctx = _context(name, "reference", kind)
+    assert sorted(dctx.pieces) == sorted(rctx.pieces)
+    rng = random.Random(3)
+    sample = rng.sample(sorted(dctx.pieces), min(len(dctx.pieces), 300))
+    for pid in sample:
+        dp, rp = dctx.pieces[pid], rctx.pieces[pid]
+        assert (dp.reg, dp.slots, dp.color) == (rp.reg, rp.slots, rp.color)
+        want = rctx.colors_in_conflict(rp)
+        assert dctx.colors_in_conflict(dp) == want
+        clash = min(want) if want else dp.color
+        for color in (dp.color, clash, rng.randrange(dctx.r)):
+            assert dctx.conflicts_any(dp, color) == rctx.conflicts_any(
+                rp, color
+            )
+        got_profile = [
+            (c, [p.pid for p in e[0]], e[1])
+            for c, e in dctx.conflict_profile(dp).items()
+        ]
+        want_profile = [
+            (c, [p.pid for p in e[0]], e[1])
+            for c, e in rctx.conflict_profile(rp).items()
+        ]
+        assert got_profile == want_profile

@@ -27,12 +27,15 @@ from repro.core.dense import (
     mask_of_slots,
     set_default_analysis_impl,
 )
+from repro.core.inter import allocate_threads
 from repro.core.pipeline import allocate_programs
 from repro.igraph.graph import UndirectedGraph
 from repro.ir.operands import VirtualReg
 from repro.ir.parser import parse_program
 from repro.ir.printer import format_program
 from repro.suite.registry import BENCHMARKS, load
+from tests.oracles import conflict_masks_from_pairs
+from tests.test_cfg_webs import assert_same_web_partitions
 
 
 @contextlib.contextmanager
@@ -238,6 +241,42 @@ def test_profile_entries_identical_across_impls():
             return out
 
     assert snapshot("reference") == snapshot("dense")
+
+
+# ---------------------------------------------------------------------------
+# The index-space conflict model and the one-fixpoint web renaming
+
+
+@pytest.mark.parametrize("name", sorted(BENCHMARKS))
+def test_conflict_masks_match_conflicts_at_regroup(name):
+    ra, da = both_analyses(load(name))
+    for reg in da.all_regs:
+        got = da.dense.conflict_masks(reg)
+        assert got == conflict_masks_from_pairs(ra.conflicts_at[reg])
+        assert list(got) == sorted(got, key=str)
+
+
+@pytest.mark.parametrize("name", sorted(BENCHMARKS))
+def test_lazy_conflicts_at_matches_reference_builder(name):
+    program = load(name)
+    ra, da = both_analyses(program)
+    with using("dense"):
+        # The whole cold path -- bounds and a squeezed inter-thread
+        # allocation -- answers its probes from masks, never the pairs.
+        b = estimate_bounds(da)
+        allocate_threads([da, da], nreg=2 * b.min_pr + b.min_r, bounds=[b, b])
+    assert ra._conflicts_at is not None  # the reference builder is eager
+    assert da._conflicts_at is None
+    got = da.conflicts_at
+    assert set(got) == set(ra.conflicts_at)
+    for reg, pairs in ra.conflicts_at.items():
+        assert got[reg] == pairs  # tuple equality: order included
+    assert da.conflicts_at is got  # derived once
+
+
+@pytest.mark.parametrize("name", sorted(BENCHMARKS))
+def test_one_fixpoint_webs_match_per_variable_fixpoints(name):
+    assert_same_web_partitions(load(name))
 
 
 # ---------------------------------------------------------------------------

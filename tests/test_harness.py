@@ -1,6 +1,11 @@
 """Tests for the experiment harnesses (small configurations)."""
 
+import json
+import pathlib
+
 import pytest
+
+from repro.core.cache import scoped
 
 from repro.harness.fig14 import Fig14Row, average_saving, render_fig14, run_fig14
 from repro.harness.report import text_table
@@ -32,6 +37,19 @@ def test_table1_rows():
         assert r.reg_p_csb_max <= r.max_pr
         assert r.reg_p_max <= r.max_r
     assert "RegPmax" in render_table1(rows)
+
+
+def test_table2_matches_committed_json():
+    # Pins the committed Table-2 bounds and move counts: every row of a
+    # fresh run over the whole suite equals benchmarks/out/BENCH_table2.json.
+    path = (
+        pathlib.Path(__file__).resolve().parents[1]
+        / "benchmarks" / "out" / "BENCH_table2.json"
+    )
+    committed = json.loads(path.read_text())["data"]
+    with scoped():
+        rows = run_table2()
+    assert [r.to_dict() for r in rows] == committed
 
 
 def test_table2_rows():

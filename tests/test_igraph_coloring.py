@@ -1,8 +1,13 @@
 """Unit tests for coloring heuristics."""
 
+import random
+
 import pytest
 
+from repro.core.analysis import analyze_thread
 from repro.igraph.coloring import (
+    _dsatur_dense,
+    _simplify_dense,
     dsatur_color,
     first_free_color,
     greedy_color,
@@ -12,6 +17,8 @@ from repro.igraph.coloring import (
     validate_coloring,
 )
 from repro.igraph.graph import UndirectedGraph
+from repro.suite.registry import BENCHMARKS, load
+from tests.oracles import dsatur_quadratic, simplify_quadratic
 
 
 def clique(n):
@@ -94,3 +101,47 @@ def test_determinism():
     g = cycle(9)
     assert dsatur_color(g) == dsatur_color(g)
     assert simplify_color(g) == simplify_color(g)
+
+
+# ---------------------------------------------------------------------------
+# Lazy-heap selection vs the linear-scan oracle
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+
+def assert_heap_selection_matches(g):
+    for fast, slow in (
+        (_dsatur_dense, dsatur_quadratic),
+        (_simplify_dense, simplify_quadratic),
+    ):
+        got, want = fast(g), slow(g)
+        # Same colors in the same selection order: insertion order is
+        # the order nodes were picked.
+        assert list(got.items()) == list(want.items())
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_heap_selection_matches_linear_scan_on_random_graphs(seed):
+    # Many equal-degree, equal-saturation ties: the (-sat, -deg, -index)
+    # and (deg, index) keys must break them exactly as max/min did.
+    rng = random.Random(seed)
+    n = rng.randint(0, 40)
+    density = rng.random()
+    g = UndirectedGraph()
+    for i in range(n):
+        g.add_node(f"n{i}")
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < density:
+                g.add_edge(f"n{i}", f"n{j}")
+    assert_heap_selection_matches(g)
+
+
+@pytest.mark.parametrize("name", sorted(BENCHMARKS))
+def test_heap_selection_matches_linear_scan_on_suite_graphs(name):
+    graphs = analyze_thread(load(name)).graphs
+    for g in [graphs.gig, graphs.big, *graphs.iigs.values()]:
+        assert_heap_selection_matches(g)

@@ -142,3 +142,37 @@ def test_property_instruction_edit_changes_fingerprint(text, data):
     mutated = lines[:i] + ["ctx"] + lines[i:]  # insert a context switch
     q = parse_program("\n".join(mutated), "rand")
     assert q.fingerprint() != p.fingerprint()
+
+
+def _field_stream_digest(program) -> str:
+    """The digest fed field by field, as persisted cache and store keys
+    were first written: one ``update`` per name, label and operand."""
+    import hashlib
+
+    h = hashlib.sha256()
+    h.update(program.name.encode())
+    for label, index in sorted(program.labels.items()):
+        h.update(b"\x1eL")
+        h.update(label.encode())
+        h.update(b"\x1f")
+        h.update(str(index).encode())
+    for instr in program.instrs:
+        h.update(b"\x1eI")
+        h.update(instr.opcode.name.encode())
+        for op in instr.operands:
+            h.update(b"\x1f")
+            h.update(type(op).__name__.encode())
+            h.update(b"\x1f")
+            h.update(str(op).encode())
+    return h.hexdigest()
+
+
+def test_digest_matches_field_stream_on_every_kernel():
+    # On-disk analyses and stored results are keyed by this digest, so
+    # its bytes must never drift.
+    from repro.suite.registry import BENCHMARKS, load
+
+    programs = [parse_program(BASE, "k"), parse_program(FIG3_T1, "t1")]
+    programs += [load(name) for name in BENCHMARKS]
+    for program in programs:
+        assert program.fingerprint() == _field_stream_digest(program)

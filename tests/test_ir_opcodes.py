@@ -58,3 +58,29 @@ def test_store_has_no_defs():
 def test_load_defines_its_destination():
     assert spec(Opcode.LOAD).n_defs == 1
     assert spec(Opcode.LOAD).n_uses == 1
+
+
+def test_def_and_use_positions_follow_the_signature():
+    for op, s in SPECS.items():
+        assert s.def_positions == tuple(
+            i for i, r in enumerate(s.signature) if r == "D"
+        ), op
+        assert s.use_positions == tuple(
+            i for i, r in enumerate(s.signature) if r == "U"
+        ), op
+
+
+def test_instruction_defs_and_uses_match_signature_roles():
+    from repro.suite.registry import BENCHMARKS, load
+
+    for name in BENCHMARKS:
+        for instr in load(name).instrs:
+            roles = list(zip(instr.spec.signature, instr.operands))
+            assert instr.defs == tuple(o for r, o in roles if r == "D")
+            assert instr.uses == tuple(o for r, o in roles if r == "U")
+
+
+def test_opcode_hash_is_consistent_with_identity_equality():
+    assert len({op: None for op in Opcode}) == len(Opcode)
+    for op in Opcode:
+        assert hash(op) == hash(Opcode(op.value))

@@ -121,3 +121,44 @@ def test_error_carries_line_number():
 def test_multiple_labels_share_an_instruction():
     p = parse_program("a:\nb:\n movi %x, 1\n halt\n", "m")
     assert p.labels["a"] == 0 and p.labels["b"] == 0
+
+
+def _split_by_scan(text):
+    """Bracket-aware comma split, one character at a time."""
+    parts, depth, cur = [], 0, []
+    for ch in text:
+        if ch == "[":
+            depth += 1
+        elif ch == "]":
+            depth -= 1
+        if ch == "," and depth == 0:
+            parts.append("".join(cur).strip())
+            cur = []
+        else:
+            cur.append(ch)
+    tail = "".join(cur).strip()
+    if tail:
+        parts.append(tail)
+    return parts
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        "   ",
+        "%a",
+        "%a, %b, %c",
+        " %a ,%b,  7 ",
+        "%a,, %b",
+        "%a, %b,",
+        ",",
+        "%a, [%b + 4]",
+        "%a, %b, %c, %d, [%e - 0x10]",
+        "[%a, %b], %c",
+    ],
+)
+def test_split_operands_matches_bracket_scan(text):
+    from repro.ir.parser import _split_operands
+
+    assert _split_operands(text) == _split_by_scan(text)

@@ -1,5 +1,7 @@
 """Unit tests for program validation."""
 
+import random
+
 import pytest
 
 from repro.errors import ValidationError
@@ -9,6 +11,8 @@ from repro.ir.operands import Imm, Label, PhysReg, VirtualReg
 from repro.ir.parser import parse_program
 from repro.ir.program import Program
 from repro.ir.validate import validate_program
+from tests.oracles import check_defined_before_use_sets
+from tests.test_cfg_webs import random_program_text
 
 
 def test_valid_program_passes(mini_kernel):
@@ -97,3 +101,46 @@ def test_label_out_of_range():
     p.labels["ghost"] = 99
     with pytest.raises(ValidationError):
         validate_program(p)
+
+
+# ---------------------------------------------------------------------------
+# The bitmask may-be-uninitialised check vs the set-based oracle
+
+
+def _first_error(check, program):
+    try:
+        check(program)
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+def test_init_check_raises_the_oracles_first_error():
+    # Random programs with reads before defs, loops and unreachable code:
+    # the same first error (lowest instruction, then ``uses`` order), or
+    # none at all.
+    outcomes = set()
+    for seed in range(400):
+        program = parse_program(
+            random_program_text(random.Random(seed)), f"gen{seed}"
+        )
+        want = _first_error(check_defined_before_use_sets, program)
+        assert _first_error(validate_program, program) == want, seed
+        outcomes.add(want is None)
+    assert outcomes == {True, False}
+
+
+def test_init_check_skips_unreachable_code():
+    p = parse_program(
+        """
+        movi %a, 1
+        br done
+        add %b, %c, %a
+    done:
+        store %a, [%a]
+        halt
+        """,
+        "t",
+    )
+    validate_program(p)
+    assert check_defined_before_use_sets(p) is None
